@@ -99,7 +99,9 @@ type clientResult struct {
 // Start marks the decode stage, which runs before the arrival stamp.
 type TraceSpan struct {
 	// Stage names the pipeline stage: "decode", "queue_wait", "linger",
-	// "engine", "remote_exchange", or "response_write".
+	// "engine", "remote_exchange", or "response_write". Current servers
+	// never wait for a batch to fill, so "linger" spans are always zero
+	// long; the stage remains so the span encoding stays unchanged.
 	Stage string
 	// Rank is the cluster rank that recorded the span (-1 on a single-node
 	// server). A traced query routed through the cluster carries spans from
@@ -452,13 +454,13 @@ func (c *Client) KNN(q []float32, k int) ([]Neighbor, error) {
 }
 
 // KNNTraced is KNN with per-stage latency tracing: the server times each
-// pipeline stage the query passes through (queue wait, batching linger,
-// engine search, cluster remote exchange, response write) and returns the
-// spans alongside the neighbors. A query routed through a cluster carries
-// spans from every rank that worked on it, tagged with the recording rank.
-// The same trace is also captured in the server's /debug/traces ring.
-// Tracing adds a 10-byte trailer to the request and the span list to the
-// response; the result is otherwise identical to KNN.
+// pipeline stage the query passes through (queue wait, engine search,
+// cluster remote exchange, response write) and returns the spans alongside
+// the neighbors. A query routed through a cluster carries spans from every
+// rank that worked on it, tagged with the recording rank. The same trace
+// is also captured in the server's /debug/traces ring. Tracing adds a
+// 10-byte trailer to the request and the span list to the response; the
+// result is otherwise identical to KNN.
 func (c *Client) KNNTraced(q []float32, k int) ([]Neighbor, []TraceSpan, error) {
 	if len(q) != c.id.Dims {
 		return nil, nil, fmt.Errorf("panda: query has %d coords, server tree has %d dims", len(q), c.id.Dims)

@@ -28,8 +28,12 @@
 //
 // Each entry in -rates is one run; the JSON report (-out) accumulates a
 // throughput-vs-offered-load curve with p50/p95/p99/p999 latency per run.
-// With -metrics, the server's Prometheus endpoint is scraped and parsed
-// after each run and its shed/query counters are folded into the report.
+// The server counters in the report are per-run deltas: the servers' stats
+// (and, with -metrics, the Prometheus endpoint) are read before each run
+// and again once its queries have drained, so a run's figures cover its
+// own warmup and measured window and nothing earlier. Against a single
+// server with -warmup 0 and no failed queries, a run's scraped request
+// count equals its completed count.
 //
 // Overload refusals (the server's admission limit) are counted separately
 // from failures: a shed query is the server working as designed. The
@@ -318,10 +322,14 @@ type runResult struct {
 	// Tenants breaks the run down per dataset (present with -tenants).
 	Tenants map[string]tenantResult `json:"tenants,omitempty"`
 
+	// Server-side counter deltas over the run (warmup included).
 	ServerShed    int64 `json:"server_shed,omitempty"`
 	ServerQueries int64 `json:"server_queries,omitempty"`
 
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Metrics holds deltas of the scraped series over the run;
+	// MeanBatchSize is Δpanda_queries_total / Δpanda_batches_total.
+	Metrics       map[string]float64 `json:"metrics,omitempty"`
+	MeanBatchSize float64            `json:"mean_batch_size,omitempty"`
 }
 
 // report is the BENCH_serving.json document.
@@ -401,6 +409,30 @@ func run(addrList string, rate float64, rateList string, duration, warmup time.D
 	rep.Host.Arch = runtime.GOARCH
 	rep.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
+	// The scraped series reported per run. The per-stage latency
+	// decomposition (count and summed seconds per pipeline stage) shows
+	// where the scraped rank's request time went; every observed request
+	// observes all stages, so each count equals the end-to-end count.
+	keys := []string{
+		"panda_shed_total",
+		"panda_queries_total",
+		"panda_batches_total",
+		"panda_request_latency_seconds_count",
+		`panda_request_latency_seconds_bucket{le="+Inf"}`,
+	}
+	for _, stage := range proto.StageNames {
+		for _, part := range []string{"count", "sum"} {
+			keys = append(keys, "panda_stage_latency_seconds_"+part+`{stage="`+stage+`"}`)
+		}
+	}
+	for _, tl := range tls {
+		if name := tl.clients[0].DatasetID().Name; name != "" {
+			for _, metric := range []string{"panda_tenant_queries_total", "panda_tenant_shed_total", "panda_tenant_request_latency_seconds_count"} {
+				keys = append(keys, metric+`{dataset="`+name+`"}`)
+			}
+		}
+	}
+
 	var totalErrors int64
 	for _, r := range offered {
 		for ti, tl := range tls {
@@ -408,44 +440,36 @@ func run(addrList string, rate float64, rateList string, duration, warmup time.D
 			// keeps tenants from replaying each other's point stream.
 			tl.qs = newQuerySource(tl.clients[0].Dims(), mix, kcs, float32(radius), skew, hot, seed+int64(ti)*7919)
 		}
+		stBefore, stErr := sumStats(addrs)
+		var mBefore map[string]float64
+		if metricsURL != "" {
+			if mBefore, err = scrapeMetrics(metricsURL); err != nil {
+				return fmt.Errorf("scraping %s: %w", metricsURL, err)
+			}
+		}
 		res, err := oneRun(tls, rand.New(rand.NewSource(seed)), r, duration, warmup, maxOut)
 		if err != nil {
 			return err
 		}
 		res.Label = label
-		if st, err := sumStats(addrs); err == nil {
-			res.ServerShed = st.Shed
-			res.ServerQueries = st.Queries
+		// A server observes a request just after writing its response, so
+		// the last answers the generator read may not be counted yet.
+		time.Sleep(settle)
+		if st, err := sumStats(addrs); err == nil && stErr == nil {
+			res.ServerShed = st.Shed - stBefore.Shed
+			res.ServerQueries = st.Queries - stBefore.Queries
 		}
 		if metricsURL != "" {
 			m, err := scrapeMetrics(metricsURL)
 			if err != nil {
 				return fmt.Errorf("scraping %s: %w", metricsURL, err)
 			}
-			res.Metrics = map[string]float64{
-				"panda_shed_total":                                m["panda_shed_total"],
-				"panda_queries_total":                             m["panda_queries_total"],
-				"panda_request_latency_seconds_count":             m["panda_request_latency_seconds_count"],
-				"panda_mean_batch_size":                           m["panda_mean_batch_size"],
-				`panda_request_latency_seconds_bucket{le="+Inf"}`: m[`panda_request_latency_seconds_bucket{le="+Inf"}`],
+			res.Metrics = make(map[string]float64, len(keys))
+			for _, key := range keys {
+				res.Metrics[key] = m[key] - mBefore[key]
 			}
-			// The per-stage latency decomposition: count and summed seconds
-			// per pipeline stage, so the report shows where the scraped
-			// rank's request time went (every observed request observes all
-			// stages, so each count equals the end-to-end count).
-			for _, stage := range proto.StageNames {
-				for _, part := range []string{"count", "sum"} {
-					key := "panda_stage_latency_seconds_" + part + `{stage="` + stage + `"}`
-					res.Metrics[key] = m[key]
-				}
-			}
-			for _, tl := range tls {
-				if name := tl.clients[0].DatasetID().Name; name != "" {
-					for _, metric := range []string{"panda_tenant_queries_total", "panda_tenant_shed_total", "panda_tenant_request_latency_seconds_count"} {
-						key := metric + `{dataset="` + name + `"}`
-						res.Metrics[key] = m[key]
-					}
-				}
+			if b := res.Metrics["panda_batches_total"]; b > 0 {
+				res.MeanBatchSize = res.Metrics["panda_queries_total"] / b
 			}
 		}
 		totalErrors += res.Errors
@@ -475,6 +499,10 @@ func run(addrList string, rate float64, rateList string, duration, warmup time.D
 	}
 	return nil
 }
+
+// settle is how long a run waits, after its last answer arrived, before
+// reading the server counters that close it.
+const settle = 100 * time.Millisecond
 
 // tenantMeasure accumulates one tenant's outcomes during a run.
 type tenantMeasure struct {
@@ -564,7 +592,7 @@ func oneRun(tls []*tenantLoad, arrivals *rand.Rand, rate float64, duration, warm
 			now = next
 		}
 		next = next.Add(interarrival())
-		if !measuring.Load() && now.After(measureAt) {
+		if !measuring.Load() && !now.Before(measureAt) {
 			measuring.Store(true)
 		}
 		ti := pickTenant()

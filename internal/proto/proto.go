@@ -180,11 +180,12 @@ const maxErrorLen = 4096
 // Trace stages: the per-request latency decomposition mirroring the paper's
 // phase breakdown on the serving side. Every observed request reports all
 // stages (unused ones as zero), so per-stage histogram counts equal the
-// end-to-end count exactly.
+// end-to-end count exactly. Stage ids travel in trace spans, so their
+// values are fixed.
 const (
 	StageDecode         uint8 = iota // frame read + request decode, before arrival
-	StageQueueWait                   // arrival → dequeue by the dispatcher or router
-	StageLinger                      // dequeue → batch close (micro-batch coalescing)
+	StageQueueWait                   // arrival → batch close by the dispatcher, or router pickup
+	StageLinger                      // always 0 (the server never waits for a batch to fill); id kept for the v3 trace wire
 	StageEngine                      // local tree compute (KNN/radius kernels)
 	StageRemoteExchange              // cluster forwarding + remote-candidate exchange
 	StageResponseWrite               // response encode + conn write

@@ -321,7 +321,7 @@ func (rt *router) route(p *pending) {
 
 // localStage runs one request through this rank's micro-batching dispatcher
 // and returns copies of the results (the dispatcher's arenas are reused)
-// plus the dispatcher-side stage breakdown (intake wait, linger, engine) so
+// plus the dispatcher-side stage breakdown (intake wait, engine) so
 // the routed request can attribute its owner-local time to the right
 // stages. Returned offsets are 0-based.
 func (rt *router) localStage(kind uint8, k, nq int, r2 float32, coords []float32) ([]panda.Neighbor, []int32, stageBreakdown, error) {
@@ -355,11 +355,8 @@ func (rt *router) localStage(kind uint8, k, nq int, r2 float32, coords []float32
 		// here (done runs before the pending is recycled).
 		if !lp.dequeued.IsZero() {
 			out.bd.queue = lp.dequeued.Sub(enq)
-			if !lp.batched.IsZero() {
-				out.bd.linger = lp.batched.Sub(lp.dequeued)
-				if !lp.engined.IsZero() {
-					out.bd.engine = lp.engined.Sub(lp.batched)
-				}
+			if !lp.engined.IsZero() {
+				out.bd.engine = lp.engined.Sub(lp.dequeued)
 			}
 		}
 		ch <- out
@@ -490,7 +487,7 @@ const maxExchangeWorkers = 16
 
 // ownedShardKNN is the owner-side pipeline for queries owned by shard o,
 // run on this rank's copy of o (its own tree when o is this rank, a replica
-/// tree otherwise): local KNN (§III-B step 2 — through the micro-batching
+// tree otherwise): local KNN (§III-B step 2 — through the micro-batching
 // dispatcher for the rank's own shard, a direct pooled engine call for a
 // replica), then the bounded remote-candidate exchange and top-k merge
 // (steps 3–5) per query whose r'-ball crosses shard boundaries — exchanges
@@ -663,7 +660,7 @@ func (rt *router) shardCandidates(t int, q []float32, k int, r2 float32, tc *tra
 
 // shardRadiusAt fetches shard t's points within r2 of q from its first live
 // holder, mirroring shardCandidates. Each leg charges p's stage trail:
-// dispatcher legs split into queue/linger/engine, local replica scans count
+// dispatcher legs split into queue/engine, local replica scans count
 // as engine, peer round-trips as remote exchange.
 func (rt *router) shardRadiusAt(p *pending, t int, q []float32, r2 float32) ([]panda.Neighbor, error) {
 	holders := rt.liveHolders(t, nil)

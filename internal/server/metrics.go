@@ -4,11 +4,16 @@
 //
 // Request latency is measured from the moment the reader goroutine decodes
 // a request off the wire to the moment its response is handed to the
-// connection writer, so it includes intake queueing, micro-batch linger,
-// engine time, and (cluster mode) forwarding and remote-candidate
-// round-trips — the latency a client actually experiences minus the network
-// hop. Stats/ping requests are not observed: they carry no query work and
-// would only dilute the histogram the loadgen reads.
+// connection writer, so it includes intake queueing, engine time, and
+// (cluster mode) forwarding and remote-candidate round-trips — the latency
+// a client actually experiences minus the network hop. Stats/ping requests
+// are not observed: they carry no query work and would only dilute the
+// histogram the loadgen reads.
+//
+// Query, shed and slow counts and the request latency histogram have one
+// source: the tenant engines. The unlabeled globals are sums over tenants
+// computed at read time, so the per-dataset series sum to them by
+// construction.
 package server
 
 import (
@@ -51,16 +56,14 @@ func (h *histogram) observe(d time.Duration) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	h.sumNanos.Add(int64(d))
+	h.count.Add(1) // last: a reader that sees the count sees the sample
 }
 
-// metrics aggregates the serving observability state beyond the plain Stats
-// counters: per-kind request counts, the request latency histogram, and its
-// per-stage decomposition.
+// metrics aggregates the serving observability state kept per server, not
+// per tenant: per-kind request counts and the per-stage decomposition of
+// request latency.
 type metrics struct {
-	latency histogram
-
 	// stages decomposes the end-to-end latency into the six wire stages.
 	// Every observed request observes every stage (unused stages observe
 	// zero), so each stage's count equals the end-to-end count exactly and
@@ -68,15 +71,14 @@ type metrics struct {
 	stages [proto.NumStages]histogram
 
 	// Per-kind request counters (requests, not queries: a 64-query batch
-	// counts once here and 64 times in statQueries).
+	// counts once here and 64 times in panda_queries_total).
 	knnRequests    atomic.Int64
 	radiusRequests atomic.Int64
 	otherRequests  atomic.Int64 // shard-addressed, remote, section kinds
 }
 
-// observe records one answered request of the given wire kind.
-func (m *metrics) observe(kind uint8, d time.Duration) {
-	m.latency.observe(d)
+// countKind counts one answered request of the given wire kind.
+func (m *metrics) countKind(kind uint8) {
 	switch kind {
 	case proto.KindKNN, proto.KindShardKNN:
 		m.knnRequests.Add(1)
@@ -88,31 +90,28 @@ func (m *metrics) observe(kind uint8, d time.Duration) {
 }
 
 // observeRequest is the single observation site for one answered external
-// request: the end-to-end histogram and its per-tenant twin, the six
-// per-stage histograms, slow-query accounting, and trace capture. All at the
-// same site, so per-tenant counts sum to the global count and every stage
-// count equals the end-to-end count. end is the post-write stamp; stage
-// durations come from the caller because dispatcher and router decompose
-// differently (see pending.dispatchStages / pending.routeStages).
+// request: the six per-stage histograms, slow-query accounting, trace
+// capture, and its tenant's end-to-end histogram. All at the same site, so
+// every stage count equals the end-to-end count. The end-to-end count goes
+// last: the response is already written, so a reader that has the answer
+// waits for that count to know the request's observation is complete. end
+// is the post-write stamp; stage durations come from the caller because
+// dispatcher and router decompose differently (see pending.dispatchStages
+// / pending.routeStages).
 func (s *Server) observeRequest(p *pending, end time.Time, st [proto.NumStages]time.Duration, reqErr error) {
 	e2e := end.Sub(p.arrived)
-	s.metrics.observe(p.req.Kind, e2e)
-	if p.eng != nil {
-		p.eng.latency.observe(e2e)
-	}
+	s.metrics.countKind(p.req.Kind)
 	for i := range st {
 		s.metrics.stages[i].observe(st[i])
 	}
 	slow := s.cfg.SlowQuery > 0 && e2e >= s.cfg.SlowQuery
 	if slow {
-		s.statSlow.Add(1)
-		if p.eng != nil {
-			p.eng.slow.Add(1)
-		}
+		p.eng.slow.Add(1)
 	}
 	if p.trace != nil || slow {
 		s.traces.put(s.buildTrace(p, st, e2e, end, slow, reqErr))
 	}
+	p.eng.latency.observe(e2e)
 }
 
 // WriteMetrics writes the server's counters, gauges, and latency histogram
@@ -120,6 +119,12 @@ func (s *Server) observeRequest(p *pending, end time.Time, st [proto.NumStages]t
 func (s *Server) WriteMetrics(out io.Writer) {
 	w := &metricsWriter{w: out}
 	st := s.Stats()
+	var slow int64
+	latency := make([]*histogram, len(s.reg.order))
+	for i, name := range s.reg.order {
+		slow += s.reg.tenants[name].slow.Load()
+		latency[i] = &s.reg.tenants[name].latency
+	}
 	w.counter("panda_queries_total", "Queries answered since start (batch requests count each contained query).", float64(st.Queries))
 	w.counter("panda_batches_total", "Coalesced dispatch rounds run by the micro-batching engine.", float64(st.Batches))
 	w.counter("panda_shed_total", "Requests refused with an overload error at the admission limit.", float64(st.Shed))
@@ -127,7 +132,7 @@ func (s *Server) WriteMetrics(out io.Writer) {
 	w.counter("panda_failovers_total", "Shard queries answered by a replica because the primary was unreachable.", float64(st.Failovers))
 	w.counter("panda_redials_total", "Peer reconnect attempts after a broken link.", float64(st.Redials))
 	w.counter("panda_replication_bytes_total", "Snapshot bytes served to re-replicating or joining peers.", float64(st.ReplicationBytes))
-	w.counter("panda_slow_total", "Requests slower than the -slow-query threshold (0 when disabled).", float64(s.statSlow.Load()))
+	w.counter("panda_slow_total", "Requests slower than the -slow-query threshold (0 when disabled).", float64(slow))
 	w.gauge("panda_active_conns", "Currently open client connections.", float64(st.ActiveConns))
 	w.gauge("panda_inflight_queries", "Admitted queries not yet answered.", float64(s.inflight.Load()))
 	w.gauge("panda_mean_batch_size", "Achieved micro-batching factor (queries per dispatch round).", st.MeanBatchSize)
@@ -149,15 +154,7 @@ func (s *Server) WriteMetrics(out io.Writer) {
 	w.labeled("panda_requests_total", `kind="other"`, float64(m.otherRequests.Load()))
 
 	w.head("panda_request_latency_seconds", "Request latency from wire decode to response write.", "histogram")
-	cum := int64(0)
-	for i, bound := range latencyBuckets {
-		cum += m.latency.buckets[i].Load()
-		w.labeled("panda_request_latency_seconds_bucket", `le="`+formatBound(bound)+`"`, float64(cum))
-	}
-	cum += m.latency.buckets[len(latencyBuckets)].Load()
-	w.labeled("panda_request_latency_seconds_bucket", `le="+Inf"`, float64(cum))
-	w.line("panda_request_latency_seconds_sum", float64(m.latency.sumNanos.Load())/1e9)
-	w.line("panda_request_latency_seconds_count", float64(m.latency.count.Load()))
+	w.histogram("panda_request_latency_seconds", "", latency...)
 
 	// Stage decomposition of the histogram above. Every request observes
 	// every stage (zero for stages it did not use), so each stage's _count
@@ -165,22 +162,11 @@ func (s *Server) WriteMetrics(out io.Writer) {
 	// stages (all but "decode") reconciles with the end-to-end _sum.
 	w.head("panda_stage_latency_seconds", "Per-stage decomposition of request latency (every request observes every stage; unused stages observe zero).", "histogram")
 	for si := range m.stages {
-		h := &m.stages[si]
-		stage := `stage="` + proto.StageName(uint8(si)) + `"`
-		cum := int64(0)
-		for i, bound := range latencyBuckets {
-			cum += h.buckets[i].Load()
-			w.labeled("panda_stage_latency_seconds_bucket", stage+`,le="`+formatBound(bound)+`"`, float64(cum))
-		}
-		cum += h.buckets[len(latencyBuckets)].Load()
-		w.labeled("panda_stage_latency_seconds_bucket", stage+`,le="+Inf"`, float64(cum))
-		w.labeled("panda_stage_latency_seconds_sum", stage, float64(h.sumNanos.Load())/1e9)
-		w.labeled("panda_stage_latency_seconds_count", stage, float64(h.count.Load()))
+		w.histogram("panda_stage_latency_seconds", `stage="`+proto.StageName(uint8(si))+`"`, &m.stages[si])
 	}
 
-	// Per-tenant series alongside the globals. Every tenant counter is
-	// incremented at the same site as its global twin, so for each metric
-	// the sum over dataset labels equals the unlabeled global above.
+	// Per-tenant series alongside the globals, which are their sums: for
+	// each metric the sum over dataset labels equals the unlabeled global.
 	// Dataset names are restricted to [A-Za-z0-9._-] at registration, so
 	// they embed in label values without escaping.
 	w.gauge("panda_tenants", "Datasets registered with the serving process.", float64(len(s.reg.order)))
@@ -198,17 +184,7 @@ func (s *Server) WriteMetrics(out io.Writer) {
 	}
 	w.head("panda_tenant_request_latency_seconds", "Request latency per dataset (counts sum to the global histogram).", "histogram")
 	for _, name := range s.reg.order {
-		h := &s.reg.tenants[name].latency
-		cum := int64(0)
-		for i, bound := range latencyBuckets {
-			cum += h.buckets[i].Load()
-			w.labeled("panda_tenant_request_latency_seconds_bucket",
-				`dataset="`+name+`",le="`+formatBound(bound)+`"`, float64(cum))
-		}
-		cum += h.buckets[len(latencyBuckets)].Load()
-		w.labeled("panda_tenant_request_latency_seconds_bucket", `dataset="`+name+`",le="+Inf"`, float64(cum))
-		w.labeled("panda_tenant_request_latency_seconds_sum", `dataset="`+name+`"`, float64(h.sumNanos.Load())/1e9)
-		w.labeled("panda_tenant_request_latency_seconds_count", `dataset="`+name+`"`, float64(h.count.Load()))
+		w.histogram("panda_tenant_request_latency_seconds", `dataset="`+name+`"`, &s.reg.tenants[name].latency)
 	}
 }
 
@@ -252,8 +228,40 @@ func (mw *metricsWriter) line(name string, v float64) {
 	fmt.Fprintf(mw.w, "%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
+// labeled writes one sample; empty labels write it bare.
 func (mw *metricsWriter) labeled(name, labels string, v float64) {
+	if labels == "" {
+		mw.line(name, v)
+		return
+	}
 	fmt.Fprintf(mw.w, "%s{%s} %s\n", name, labels, strconv.FormatFloat(v, 'g', -1, 64))
+}
+
+// histogram writes one series, the bucket-wise sum of hs, as cumulative
+// _bucket lines, _sum and _count; labels ("" for none) precede le.
+func (mw *metricsWriter) histogram(name, labels string, hs ...*histogram) {
+	var buckets [len(latencyBuckets) + 1]int64
+	var count, sumNanos int64
+	for _, h := range hs {
+		for i := range buckets {
+			buckets[i] += h.buckets[i].Load()
+		}
+		count += h.count.Load()
+		sumNanos += h.sumNanos.Load()
+	}
+	le := `le="`
+	if labels != "" {
+		le = labels + `,le="`
+	}
+	cum := int64(0)
+	for i, bound := range latencyBuckets {
+		cum += buckets[i]
+		mw.labeled(name+"_bucket", le+formatBound(bound)+`"`, float64(cum))
+	}
+	cum += buckets[len(latencyBuckets)]
+	mw.labeled(name+"_bucket", le+`+Inf"`, float64(cum))
+	mw.labeled(name+"_sum", labels, float64(sumNanos)/1e9)
+	mw.labeled(name+"_count", labels, float64(count))
 }
 
 func (mw *metricsWriter) counter(name, help string, v float64) {

@@ -32,7 +32,6 @@ func TestAdmissionControlUnderClosedLoopHammer(t *testing.T) {
 	tree, coords := testTree(t, n, dims)
 	srv, addr := startServer(t, tree, Config{
 		MaxBatch:    8,
-		MaxLinger:   200 * time.Microsecond,
 		MaxInFlight: 2 * nq, // two batches in flight; the rest shed
 	})
 
@@ -114,22 +113,23 @@ func (e *mismatchError) Error() string {
 func TestOverloadKeepsConnectionUsable(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 1000, dims)
-	// MaxInFlight 1 with a long linger: the first query of a 2-query batch
-	// is admitted and parks in the intake; any query arriving while it
-	// lingers is over the limit.
-	_, addr := startServer(t, tree, Config{
-		MaxBatch:    64,
-		MaxLinger:   100 * time.Millisecond,
-		MaxInFlight: 1,
+	// Room for the stalling batch plus one query: while the dispatcher is
+	// stalled, the first query of the volley is admitted and parks in the
+	// intake; any query arriving while it waits is over the limit.
+	srv, addr := startServer(t, tree, Config{
+		MaxBatch:     64,
+		WriteTimeout: stallWrite,
+		MaxInFlight:  stallNQ + 1,
 	})
 	c, err := panda.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	stallDispatcher(t, srv, addr, tree, coords)
 
-	// Fire a volley of concurrent single queries; with limit 1 and a long
-	// linger at least one is refused and at least one admitted.
+	// Fire a volley of concurrent single queries; with the dispatcher stalled
+	// and room for one, at least one is refused and at least one admitted.
 	const volley = 8
 	var wg sync.WaitGroup
 	var ok, over atomic.Int64
@@ -171,7 +171,7 @@ func TestOverloadKeepsConnectionUsable(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 1000, dims)
-	srv, addr := startServer(t, tree, Config{MaxLinger: 50 * time.Microsecond})
+	srv, addr := startServer(t, tree, Config{})
 	c, err := panda.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +187,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waitObserved(t, srv, queries+1)
 	rec := httptest.NewRecorder()
 	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {

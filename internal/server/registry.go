@@ -16,18 +16,18 @@ import (
 	"panda/internal/proto"
 )
 
-// engine is one served dataset: the tree and the per-tenant slice of every
-// counter the server also keeps globally. Per-tenant counters are
-// incremented at exactly the same sites as their global twins, so for each
-// metric the sum over tenants equals the global value.
+// engine is one served dataset: the tree and its serving counters. These
+// are the only copy: the server-wide query, shed and slow counts and the
+// request latency histogram are sums over engines taken at read time, so
+// for each metric the sum over tenants equals the global value.
 type engine struct {
 	tree *panda.Tree
 	id   proto.DatasetID
 
 	// queries counts answered queries (a batch of nq counts nq), shed
 	// counts admission refusals, slow counts requests over the -slow-query
-	// threshold — the tenant slices of Stats.Queries, Stats.Shed, and the
-	// slow counter. latency is the tenant slice of the global request
+	// threshold — the tenant slices of Stats.Queries, Stats.Shed, and
+	// panda_slow_total. latency is the tenant slice of the request latency
 	// histogram.
 	queries atomic.Int64
 	shed    atomic.Int64
@@ -104,8 +104,8 @@ type TenantStats struct {
 }
 
 // TenantStats returns the per-dataset counters keyed by dataset name. For
-// every counter, the values sum exactly to the corresponding global Stats
-// field (both are incremented at the same sites).
+// every counter, the values sum to the corresponding global Stats field
+// (the globals are computed as those sums).
 func (s *Server) TenantStats() map[string]TenantStats {
 	out := make(map[string]TenantStats, len(s.reg.order))
 	for _, name := range s.reg.order {

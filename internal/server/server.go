@@ -11,13 +11,14 @@
 // traffic into the batched engine's hot path. Each connection has a reader
 // goroutine that decodes requests and enqueues them on a shared intake
 // queue. A dispatcher goroutine coalesces whatever has accumulated — up to
-// Config.MaxBatch queries, waiting at most Config.MaxLinger for stragglers
-// — groups the KNN queries by k, concatenates their coordinates, and
-// answers each group with one Tree.KNNBatchFlatInto call on the pooled
-// zero-allocation engine. Responses are then fanned back out to the waiting
-// connections. A thousand independent clients therefore get batched-engine
-// throughput without changing their one-query-at-a-time API; the cost is at
-// most MaxLinger of added latency when traffic is sparse. Radius queries
+// Config.MaxBatch queries, without waiting for more — groups the KNN
+// queries by k, concatenates their coordinates, and answers each group with
+// one Tree.KNNBatchFlatInto call on the pooled zero-allocation engine.
+// Responses are then fanned back out to the waiting connections. Batches
+// form from queueing alone: while one batch runs, the next accumulates, so
+// batches grow with load and sparse traffic pays no batching delay. A
+// thousand independent clients therefore get batched-engine throughput
+// without changing their one-query-at-a-time API. Radius queries
 // ride in the same intake but execute individually against pooled
 // searchers (they have no fixed result size to batch into an arena).
 //
@@ -85,13 +86,6 @@ type Config struct {
 	// engine call (default 64). A single oversize batch request still runs
 	// whole.
 	MaxBatch int
-	// MaxLinger is how long the dispatcher waits for more queries once it
-	// has at least one (default 200µs). Zero means "grab only what has
-	// already accumulated".
-	MaxLinger time.Duration
-	// LingerSet reports whether MaxLinger zero is intentional; leave false
-	// to get the default.
-	LingerSet bool
 	// WriteTimeout bounds each response write (default 2s). The single
 	// dispatcher writes responses synchronously, so a client that stops
 	// draining its socket head-of-line blocks other responses for up to
@@ -127,9 +121,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxLinger <= 0 && !c.LingerSet {
-		c.MaxLinger = 200 * time.Microsecond
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 2 * time.Second
@@ -184,11 +175,9 @@ type Server struct {
 
 	pendingPool sync.Pool
 
-	// Lifetime serving counters (see Stats). statQueries counts queries
-	// answered (a batch request of nq queries counts nq); statBatches
-	// counts dispatch rounds — coalesced engine passes — so their ratio is
-	// the achieved micro-batching factor.
-	statQueries atomic.Int64
+	// statBatches counts dispatch rounds — coalesced engine passes — so
+	// Stats.Queries/statBatches is the achieved micro-batching factor. The
+	// query, shed and slow counts live on the tenant engines (see Stats).
 	statBatches atomic.Int64
 
 	// Robustness counters (zero on an un-replicated server): incremented by
@@ -199,20 +188,18 @@ type Server struct {
 	statReplBytes    atomic.Int64
 
 	// Admission control (Config.MaxInFlight): inflight is the admitted
-	// query weight not yet answered, statShed counts refused requests.
+	// query weight not yet answered.
 	inflight atomic.Int64
-	statShed atomic.Int64
 
-	// metrics holds the latency histogram, its stage decomposition, and
+	// metrics holds the stage decomposition of request latency and the
 	// per-kind request counters exported by WriteMetrics/MetricsHandler.
 	metrics metrics
 
 	// Tracing: rank labels this server's spans (-1 single-node, the cluster
 	// rank otherwise), traces retains recent sampled/slow captures for
-	// /debug/traces, statSlow counts requests over Config.SlowQuery.
-	rank     int32
-	traces   *traceRing
-	statSlow atomic.Int64
+	// /debug/traces.
+	rank   int32
+	traces *traceRing
 }
 
 // Stats is a point-in-time snapshot of the serving counters.
@@ -246,16 +233,19 @@ type Stats struct {
 
 // Stats returns the serving counters. Safe for concurrent use; the
 // counters are monotone but mutually unsynchronized (a concurrent dispatch
-// round may be counted in Batches and not yet in Queries).
+// round may be counted in Batches and not yet in Queries). Queries and Shed
+// are sums over the tenant engines.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Queries:          s.statQueries.Load(),
 		Batches:          s.statBatches.Load(),
 		PeerFailures:     s.statPeerFailures.Load(),
 		Failovers:        s.statFailovers.Load(),
 		Redials:          s.statRedials.Load(),
 		ReplicationBytes: s.statReplBytes.Load(),
-		Shed:             s.statShed.Load(),
+	}
+	for _, e := range s.reg.tenants {
+		st.Queries += e.queries.Load()
+		st.Shed += e.shed.Load()
 	}
 	if st.Batches > 0 {
 		st.MeanBatchSize = float64(st.Queries) / float64(st.Batches)
@@ -527,8 +517,9 @@ func (c *conn) close() {
 	c.nc.Close()
 }
 
-// writeFrame writes one already-framed buffer (length prefix included).
-// Errors mark the connection dead; the dispatcher keeps going.
+// writeFrame writes one already-framed buffer (length prefix included), or
+// the unframed handshake welcome. Errors mark the connection dead; the
+// dispatcher keeps going.
 func (c *conn) writeFrame(buf []byte, timeout time.Duration) error {
 	if c.dead.Load() {
 		return net.ErrClosed
@@ -571,21 +562,19 @@ type pending struct {
 
 	// Stage boundary stamps (see proto.StageNames), one time.Now() each:
 	// decodeStart is when the reader had the frame in hand (decode ends at
-	// arrived), dequeued when the dispatcher pulled the request off the
-	// intake (or the router picked it up), batched when its micro-batch
-	// closed, engined when its engine call returned. Unused stamps stay zero
-	// and clamp to the previous boundary at observation.
+	// arrived), dequeued when the dispatcher closed the batch holding the
+	// request (or the router picked it up), engined when its engine call
+	// returned. Unused stamps stay zero and clamp to the previous boundary
+	// at observation.
 	decodeStart time.Time
 	dequeued    time.Time
-	batched     time.Time
 	engined     time.Time
 
 	// Router stage accumulators, nanoseconds (cluster path only): the route
-	// legs charge owner-local dispatcher time (queue/linger/engine) and peer
+	// legs charge owner-local dispatcher time (queue/engine) and peer
 	// round-trips (exchange) here, concurrently for parallel legs of a
 	// batch. Zero on the dispatcher path.
 	trailQueue    atomic.Int64
-	trailLinger   atomic.Int64
 	trailEngine   atomic.Int64
 	trailExchange atomic.Int64
 
@@ -600,34 +589,31 @@ type pending struct {
 // skipped a stamp (the stage reads as zero rather than garbage); on the
 // normal path the stamps are monotone and the post-arrival stages sum
 // exactly to end−arrived, which is what reconciles the stage histograms
-// with the end-to-end one.
+// with the end-to-end one. The linger stage is always zero: the dispatcher
+// never waits for a batch to fill.
 func (p *pending) dispatchStages(end time.Time) [proto.NumStages]time.Duration {
 	var st [proto.NumStages]time.Duration
-	dec, deq, bat, eng := p.decodeStart, p.dequeued, p.batched, p.engined
+	dec, deq, eng := p.decodeStart, p.dequeued, p.engined
 	if dec.IsZero() {
 		dec = p.arrived
 	}
 	if deq.IsZero() {
 		deq = p.arrived
 	}
-	if bat.IsZero() {
-		bat = deq
-	}
 	if eng.IsZero() {
-		eng = bat
+		eng = deq
 	}
 	st[proto.StageDecode] = p.arrived.Sub(dec)
 	st[proto.StageQueueWait] = deq.Sub(p.arrived)
-	st[proto.StageLinger] = bat.Sub(deq)
-	st[proto.StageEngine] = eng.Sub(bat)
+	st[proto.StageEngine] = eng.Sub(deq)
 	st[proto.StageResponseWrite] = end.Sub(eng)
 	return st
 }
 
 // routeStages decomposes a router-path request: queue-wait spans arrival to
 // route pickup plus any owner-local intake wait the legs charged;
-// linger/engine/exchange come from the trail accumulators (per-leg
-// attribution — parallel legs of a multi-query batch overlap in wall time).
+// engine/exchange come from the trail accumulators (per-leg attribution —
+// parallel legs of a multi-query batch overlap in wall time).
 func (p *pending) routeStages(writeStart, end time.Time) [proto.NumStages]time.Duration {
 	var st [proto.NumStages]time.Duration
 	dec, deq := p.decodeStart, p.dequeued
@@ -639,7 +625,6 @@ func (p *pending) routeStages(writeStart, end time.Time) [proto.NumStages]time.D
 	}
 	st[proto.StageDecode] = p.arrived.Sub(dec)
 	st[proto.StageQueueWait] = deq.Sub(p.arrived) + time.Duration(p.trailQueue.Load())
-	st[proto.StageLinger] = time.Duration(p.trailLinger.Load())
 	st[proto.StageEngine] = time.Duration(p.trailEngine.Load())
 	st[proto.StageRemoteExchange] = time.Duration(p.trailExchange.Load())
 	st[proto.StageResponseWrite] = end.Sub(writeStart)
@@ -649,11 +634,10 @@ func (p *pending) routeStages(writeStart, end time.Time) [proto.NumStages]time.D
 // stageBreakdown is the owner-local dispatcher time of one routed leg,
 // reported by localStage's done hook and charged onto the originating
 // request's trail accumulators.
-type stageBreakdown struct{ queue, linger, engine time.Duration }
+type stageBreakdown struct{ queue, engine time.Duration }
 
 func (p *pending) addBreakdown(bd stageBreakdown) {
 	p.trailQueue.Add(int64(bd.queue))
-	p.trailLinger.Add(int64(bd.linger))
 	p.trailEngine.Add(int64(bd.engine))
 }
 
@@ -675,10 +659,8 @@ func (s *Server) putPending(p *pending) {
 	p.arrived = time.Time{}
 	p.decodeStart = time.Time{}
 	p.dequeued = time.Time{}
-	p.batched = time.Time{}
 	p.engined = time.Time{}
 	p.trailQueue.Store(0)
-	p.trailLinger.Store(0)
 	p.trailEngine.Store(0)
 	p.trailExchange.Store(0)
 	p.trace = nil
@@ -705,7 +687,7 @@ func (s *Server) serveConn(c *conn) {
 			// Unknown dataset: reject with a v3 welcome echoing the
 			// requested name with zeroed dims/points/fingerprint, then
 			// close. The client surfaces ErrUnknownDataset naming it.
-			c.writeFrameless(proto.AppendWelcome(nil, proto.DatasetID{Name: hello.Dataset}), s.cfg.WriteTimeout)
+			c.writeFrame(proto.AppendWelcome(nil, proto.DatasetID{Name: hello.Dataset}), s.cfg.WriteTimeout)
 			s.removeConn(c)
 			c.close()
 			return
@@ -724,12 +706,12 @@ func (s *Server) serveConn(c *conn) {
 		// version first, so it surfaces "server speaks version X" instead
 		// of reading valid dims/len and then hitting an unexplained
 		// connection drop.
-		c.writeFrameless(proto.AppendLegacyWelcome(nil, proto.Version, 0, 0), s.cfg.WriteTimeout)
+		c.writeFrame(proto.AppendLegacyWelcome(nil, proto.Version, 0, 0), s.cfg.WriteTimeout)
 		s.removeConn(c)
 		c.close()
 		return
 	}
-	if c.writeFrameless(welcome, s.cfg.WriteTimeout) != nil {
+	if c.writeFrame(welcome, s.cfg.WriteTimeout) != nil {
 		s.removeConn(c)
 		c.close()
 		return
@@ -828,7 +810,6 @@ func (s *Server) serveConn(c *conn) {
 			}
 			if s.inflight.Add(weight) > int64(s.cfg.MaxInFlight) {
 				s.inflight.Add(-weight)
-				s.statShed.Add(1)
 				c.eng.shed.Add(1)
 				id := p.req.ID
 				s.putPending(p)
@@ -884,11 +865,6 @@ func (s *Server) serveConn(c *conn) {
 	}
 }
 
-// writeFrameless writes raw bytes (the handshake, which is not framed).
-func (c *conn) writeFrameless(buf []byte, timeout time.Duration) error {
-	return c.writeFrame(buf, timeout)
-}
-
 // clusterOnlyKind reports whether kind is meaningful only on a cluster
 // rank: shard-addressed queries (failover routing) and snapshot section
 // streaming (re-replication and joins).
@@ -923,25 +899,20 @@ func newDispatcher(s *Server) *dispatcher {
 	return &dispatcher{s: s, offs2: make([]int32, 2)}
 }
 
-// dispatch is the micro-batching loop: block for one request, linger up to
-// MaxLinger (or MaxBatch queries) for stragglers, process, repeat. Exits
-// when the intake closes, after draining everything still queued.
+// dispatch is the micro-batching loop: block for one request, take
+// whatever else is already queued (up to MaxBatch queries) without waiting,
+// process, repeat. Exits when the intake closes, after draining everything
+// still queued.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 	d := newDispatcher(s)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		p, ok := <-s.intake
 		if !ok {
 			return
 		}
-		p.dequeued = time.Now()
 		d.batch = append(d.batch[:0], p)
 		total := p.req.NQ
-		// Grab everything already queued without blocking.
 	drain:
 		for total < s.cfg.MaxBatch {
 			select {
@@ -949,35 +920,10 @@ func (s *Server) dispatch() {
 				if !ok2 {
 					break drain
 				}
-				p2.dequeued = time.Now()
 				d.batch = append(d.batch, p2)
 				total += p2.req.NQ
 			default:
 				break drain
-			}
-		}
-		// Linger for stragglers to fill the batch.
-		if total < s.cfg.MaxBatch && s.cfg.MaxLinger > 0 {
-			timer.Reset(s.cfg.MaxLinger)
-		linger:
-			for total < s.cfg.MaxBatch {
-				select {
-				case p2, ok2 := <-s.intake:
-					if !ok2 {
-						break linger
-					}
-					p2.dequeued = time.Now()
-					d.batch = append(d.batch, p2)
-					total += p2.req.NQ
-				case <-timer.C:
-					break linger
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
 			}
 		}
 		d.process()
@@ -991,17 +937,12 @@ func (s *Server) dispatch() {
 func (d *dispatcher) process() {
 	s := d.s
 	n := len(d.batch)
-	nq := 0
-	closed := time.Now() // the micro-batch is closed: linger ends here
+	closed := time.Now() // the batch is closed: queue wait ends here
 	for _, p := range d.batch {
-		p.batched = closed
-		nq += p.req.NQ
-		// The tenant slice of statQueries, incremented here so the sum over
-		// tenants always equals the global counter below.
+		p.dequeued = closed
 		p.eng.queries.Add(int64(p.req.NQ))
 	}
 	s.statBatches.Add(1)
-	s.statQueries.Add(int64(nq))
 	if cap(d.done) < n {
 		d.done = make([]bool, n)
 	}

@@ -73,7 +73,7 @@ func TestServeLoopbackE2E(t *testing.T) {
 		opsPer  = 24
 	)
 	tree, _ := testTree(t, nPoints, dims)
-	_, addr := startServer(t, tree, Config{MaxBatch: 48, MaxLinger: 100 * time.Microsecond})
+	_, addr := startServer(t, tree, Config{MaxBatch: 48})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -168,6 +168,75 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	return nc
 }
 
+// stallWrite is the server WriteTimeout the dispatcher-stall tests use: how
+// long stallDispatcher holds the dispatcher.
+const stallWrite = 300 * time.Millisecond
+
+// stallK and stallNQ shape stallDispatcher's batch: an answer of ≥16 MiB
+// (12 bytes a neighbor) outgrows the loopback socket buffers. stallNQ is
+// also the batch's admission weight. The tree must hold ≥ stallK points.
+const (
+	stallK  = 64
+	stallNQ = (16<<20)/(12*stallK) + 1
+)
+
+// stallDispatcher holds srv's single dispatcher in one response write, so
+// requests that arrive next queue behind it. A raw client with a tiny
+// receive buffer sends one stallNQ×stallK KNN batch and never reads the
+// answer: the dispatcher's synchronous write blocks until the server's
+// WriteTimeout (stallWrite) drops that connection. Returns once the
+// dispatcher has closed the stalling batch.
+func stallDispatcher(t *testing.T, srv *Server, addr string, tree *panda.Tree, coords []float32) {
+	t.Helper()
+	dims := tree.Dims()
+	q := make([]float32, 0, stallNQ*dims)
+	for i := 0; i < stallNQ; i++ {
+		j := i % tree.Len()
+		q = append(q, coords[j*dims:(j+1)*dims]...)
+	}
+	nc := rawDial(t, addr)
+	t.Cleanup(func() { nc.Close() })
+	if err := nc.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().Queries
+	if _, err := nc.Write(frame(t, func(b []byte) []byte {
+		return proto.AppendKNNRequest(b, 1, stallK, q, dims)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the dispatcher to take the stalling batch", func() bool {
+		return srv.Stats().Queries >= before+stallNQ
+	})
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitObserved waits until srv has observed n requests. The server observes
+// a request just after writing its response, so a client can hold the
+// answer before the metrics and trace ring include it; the end-to-end count
+// is the last thing observation writes.
+func waitObserved(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d observed requests", n), func() bool {
+		var observed int64
+		for _, e := range srv.reg.tenants {
+			observed += e.latency.count.Load()
+		}
+		return observed >= n
+	})
+}
+
 // frame encodes one finished frame.
 func frame(t *testing.T, encode func(b []byte) []byte) []byte {
 	t.Helper()
@@ -180,14 +249,15 @@ func frame(t *testing.T, encode func(b []byte) []byte) []byte {
 }
 
 // TestClientDisconnectMidBatch kills a connection right after it enqueued
-// requests destined for a lingering batch; the dispatcher must drop the
-// dead connection's responses and keep serving everyone else.
+// requests behind a busy dispatcher; the dispatcher must drop the dead
+// connection's responses and keep serving everyone else.
 func TestClientDisconnectMidBatch(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 2000, dims)
-	// Long linger so the doomed requests are still waiting when the
+	srv, addr := startServer(t, tree, Config{MaxBatch: 1024, WriteTimeout: stallWrite})
+	// Stall the dispatcher so the doomed requests are still queued when the
 	// connection dies.
-	_, addr := startServer(t, tree, Config{MaxBatch: 1024, MaxLinger: 50 * time.Millisecond})
+	stallDispatcher(t, srv, addr, tree, coords)
 
 	nc := rawDial(t, addr)
 	for i := 0; i < 4; i++ {
@@ -198,8 +268,8 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(10 * time.Millisecond) // let the reader enqueue them
-	nc.Close()                        // disconnect mid-batch
+	waitFor(t, "the reader to enqueue the requests", func() bool { return len(srv.intake) == 4 })
+	nc.Close() // disconnect mid-batch
 
 	// A healthy client must still get correct answers through the same
 	// dispatcher, including from the batch the dead connection was in.
@@ -227,15 +297,16 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	const dims = 3
 	const inflight = 8
 	tree, coords := testTree(t, 2000, dims)
-	// Huge linger and batch: without the drain path these requests would
-	// sit un-answered for a second.
-	srv := New(tree, Config{MaxBatch: 1024, MaxLinger: time.Second})
+	srv := New(tree, Config{MaxBatch: 1024, WriteTimeout: stallWrite})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
+	// Stall the dispatcher: the requests below stay queued, undispatched,
+	// until after Shutdown fires.
+	stallDispatcher(t, srv, ln.Addr().String(), tree, coords)
 
 	c, err := panda.Dial(ln.Addr().String())
 	if err != nil {
@@ -256,7 +327,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		}(i)
 	}
 	// Wait until the server has read all of them off the wire, then drain.
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "the reader to enqueue the requests", func() bool { return len(srv.intake) == inflight })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -286,7 +357,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 func TestMalformedRequestGetsError(t *testing.T) {
 	const dims = 3
 	tree, coords := testTree(t, 500, dims)
-	_, addr := startServer(t, tree, Config{MaxLinger: 50 * time.Microsecond})
+	_, addr := startServer(t, tree, Config{})
 
 	// Semantic errors (wrong coordinate count, oversize nq×k) are answered
 	// with KindError and the connection stays usable.

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -28,6 +29,15 @@ func writeExposition(t *testing.T, srv *Server) map[string]float64 {
 	var buf strings.Builder
 	srv.WriteMetrics(&buf)
 	return parseExposition(t, buf.String())
+}
+
+// checkLingerZero asserts the linger stage's summed time is exactly zero:
+// the dispatcher never waits for a batch to fill.
+func checkLingerZero(t *testing.T, m map[string]float64, label string) {
+	t.Helper()
+	if got := m[`panda_stage_latency_seconds_sum{stage="linger"}`]; got != 0 {
+		t.Errorf("%s: linger stage sum = %v s, want 0", label, got)
+	}
 }
 
 // checkStageCounts asserts every per-stage _count equals the end-to-end
@@ -55,7 +65,8 @@ func checkStageCounts(t *testing.T, m map[string]float64, label string) {
 // histograms against the end-to-end one: equal counts for every stage, and
 // the post-arrival stage sums (all but decode, which runs before the
 // arrival stamp) summing to the end-to-end sum — the dispatcher path
-// derives both from the same stamps, so they must telescope exactly.
+// derives both from the same stamps, so they must telescope exactly. The
+// linger stage must sum to exactly zero under the default config.
 func TestStageMetricsReconcileSingleNode(t *testing.T) {
 	tree, coords := testTree(t, 3000, 3)
 	srv, addr := startServer(t, tree, Config{})
@@ -81,11 +92,13 @@ func TestStageMetricsReconcileSingleNode(t *testing.T) {
 		}
 	}
 
+	waitObserved(t, srv, 55)
 	m := writeExposition(t, srv)
 	if got := m["panda_request_latency_seconds_count"]; got != 55 {
 		t.Fatalf("end-to-end count = %v, want 55", got)
 	}
 	checkStageCounts(t, m, "single-node")
+	checkLingerZero(t, m, "single-node")
 
 	var post float64
 	for _, stage := range proto.StageNames {
@@ -103,7 +116,7 @@ func TestStageMetricsReconcileSingleNode(t *testing.T) {
 // TestStageMetricsReconcileCluster checks the same count identity on every
 // rank of a 4-rank cluster under a mixed workload hitting each rank
 // directly — so forwarded, exchanged, and remote-kind requests all flow
-// through the observation site.
+// through the observation site — and that no rank charges linger time.
 func TestStageMetricsReconcileCluster(t *testing.T) {
 	const dims, p = 3, 4
 	coords := uniformCoords(2000, dims, 11)
@@ -135,8 +148,20 @@ func TestStageMetricsReconcileCluster(t *testing.T) {
 		c.Close()
 	}
 
+	// Drain every rank before reading: a rank observes a request just after
+	// writing its response, so a forwarded leg's observation can trail the
+	// client's answer. Shutdown returns once all of it is done.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, srv := range tc.servers {
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for r, srv := range tc.servers {
-		checkStageCounts(t, writeExposition(t, srv), fmt.Sprintf("rank %d", r))
+		m := writeExposition(t, srv)
+		checkStageCounts(t, m, fmt.Sprintf("rank %d", r))
+		checkLingerZero(t, m, fmt.Sprintf("rank %d", r))
 	}
 }
 
@@ -276,6 +301,7 @@ func TestServerSampledTracing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitObserved(t, srv, 8)
 	traces := srv.Traces()
 	if len(traces) != 8 {
 		t.Fatalf("captured %d traces, want 8", len(traces))
@@ -310,6 +336,7 @@ func TestSlowQueryCapture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitObserved(t, srv, 5)
 	traces := srv.Traces()
 	if len(traces) != 5 {
 		t.Fatalf("captured %d traces, want 5", len(traces))
@@ -348,6 +375,7 @@ func TestTracesHandlerJSON(t *testing.T) {
 		}
 	}
 
+	waitObserved(t, srv, 3)
 	rec := httptest.NewRecorder()
 	srv.TracesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	if rec.Code != 200 {
